@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for three design choices of the reproduction:
 //!
 //! * exhaustive DP vs greedy join enumeration (plan quality and time);
 //! * bloom-filter hash joins on vs off;

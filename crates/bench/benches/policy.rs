@@ -1,23 +1,16 @@
-//! Storage-policy bench: serve latency percentiles under the scenario
-//! generator's op mixes, with WAL compaction **inline on the write path**
-//! vs **folded in the background** by the policy thread.
+//! Storage-policy bench: serve and publish latency percentiles under
+//! the scenario generator's op mixes while a background
+//! [`Compactor`](galo_rdf::Compactor) folds the WAL off the write path.
 //!
 //! Each scenario ([`ScenarioSpec::read_heavy`], `churn_heavy`,
-//! `mixed_tenant`) is replayed twice against a durable sharded KB built
-//! fresh per mode: once with the durable store's inline
-//! `auto_compact_records` threshold (every over-threshold publish pays
-//! the snapshot inline), once with the same threshold enforced by a
-//! background [`Compactor`](galo_rdf::Compactor) instead. The replay
-//! runs the scenario's two roles concurrently — a serving thread timing
-//! every serve, a learner thread timing every publish — so inline
-//! compaction's write-lock stall is visible to serves the way it is in
+//! `mixed_tenant`) is replayed against a fresh durable 2-shard KB. The
+//! replay runs the scenario's two roles concurrently — a serving thread
+//! timing every serve, a learner thread timing every publish — so a
+//! fold's write-lock stall is visible to serves the way it is in
 //! production. The exported `serve_p50_ns`/`serve_p99_ns`/`publish_p99_ns`
-//! metrics are true per-op percentiles — the churn-heavy serve-p99 pair
-//! is the PR's acceptance comparison (background must not regress
-//! inline), and the publish percentiles show where moving the fold off
-//! the write path pays. Compaction activity (folds run, WAL records
-//! left, failures) is exported alongside so a latency regression can be
-//! correlated with a policy that stopped compacting.
+//! metrics are true per-op percentiles. Compaction activity (folds run,
+//! WAL records left, failures) is exported alongside so a latency
+//! regression can be correlated with a policy that stopped compacting.
 //!
 //! No timing asserts live here: CI boxes are noisy, so the numbers are
 //! artifacts (`BENCH_policy.json`), not gates.
@@ -28,12 +21,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use galo_core::{KbBuilder, KnowledgeBase, MatchConfig, ServingTier, Template};
 use galo_optimizer::Optimizer;
 use galo_qgm::Qgm;
-use galo_rdf::{CompactionPolicy, DurableOptions, ScratchDir};
+use galo_rdf::{CompactionPolicy, ScratchDir};
 use galo_workloads::{tpcds, Scenario, ScenarioOp, ScenarioSpec};
 
-/// Inline auto-compaction threshold and the background policy's
-/// per-shard record threshold — identical so the two modes disagree only
-/// on *where* the fold runs, not *when* it becomes due.
+/// The background policy's per-shard record threshold.
 const WAL_RECORDS: u64 = 512;
 
 struct Fixture {
@@ -69,75 +60,40 @@ fn fixture(slots: usize, plan_pool: usize) -> Fixture {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// The write path compacts itself when the WAL crosses the threshold.
-    Inline,
-    /// A background policy thread owns compaction; writes never fold.
-    Background,
-}
-
-impl Mode {
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Inline => "inline",
-            Mode::Background => "background",
-        }
-    }
-}
-
 struct Replay {
     serve_ns: Vec<u128>,
-    /// Publish latencies — where inline compaction's stall actually
-    /// lands: an over-threshold publish pays the whole snapshot inline.
     publish_ns: Vec<u128>,
-    /// Background folds run (0 in inline mode — inline folds are not
-    /// individually counted by the store, so WAL residue is the shared
-    /// evidence both modes report).
+    /// Background folds run.
     folds: u64,
     wal_records_left: u64,
     failures: u64,
 }
 
-/// Replay one scenario against a fresh durable 2-shard KB in `mode`,
-/// timing every serve op.
-fn replay(f: &Fixture, scenario: &Scenario, mode: Mode) -> Replay {
-    let dir = ScratchDir::new(&format!(
-        "bench-policy-{}-{}",
-        scenario.spec.name,
-        mode.label()
-    ));
-    let mut builder = KbBuilder::new().durable_dir(dir.path()).shards(2);
-    match mode {
-        Mode::Inline => {
-            builder = builder.durable_options(DurableOptions {
-                auto_compact_records: Some(WAL_RECORDS),
-                ..Default::default()
-            });
-        }
-        Mode::Background => {
-            // Same record threshold as inline, no idle folding, and real
-            // hysteresis: inline must fold at every threshold crossing
-            // (that is its only chance to run), the policy thread batches
-            // crossings into at most one fold per `min_interval`. The
-            // modes differ in which thread pays and how often.
-            builder = builder.compaction_policy(CompactionPolicy {
-                wal_records: WAL_RECORDS,
-                min_interval: Duration::from_millis(250),
-                poll_interval: Duration::from_millis(5),
-                idle_divisor: 0,
-                ..Default::default()
-            });
-        }
-    }
-    let kb: KnowledgeBase = builder.build_kb().expect("durable scratch KB");
+/// Replay one scenario against a fresh durable 2-shard KB under the
+/// background policy, timing every serve and publish op.
+fn replay(f: &Fixture, scenario: &Scenario) -> Replay {
+    let dir = ScratchDir::new(&format!("bench-policy-{}", scenario.spec.name));
+    // No idle folding, and real hysteresis: the policy thread batches
+    // threshold crossings into at most one fold per `min_interval`.
+    let kb: KnowledgeBase = KbBuilder::new()
+        .durable_dir(dir.path())
+        .shards(2)
+        .compaction_policy(CompactionPolicy {
+            wal_records: WAL_RECORDS,
+            min_interval: Duration::from_millis(250),
+            poll_interval: Duration::from_millis(5),
+            idle_divisor: 0,
+            ..Default::default()
+        })
+        .build_kb()
+        .expect("durable scratch KB");
     let tier = ServingTier::new(&f.w.db, &kb, MatchConfig::default());
     // The scenario splits into the two concurrent roles it models: a
     // serving thread replaying the serve subsequence while a learner
-    // thread replays publishes/retracts in order. Run concurrently,
-    // inline compaction's stall is visible to serves (the fold holds the
-    // shard's write lock mid-publish) exactly as it is in production —
-    // a sequential replay would hide it in the untimed publish.
+    // thread replays publishes/retracts in order. Run concurrently, a
+    // fold's stall is visible to serves (it holds the shard's write lock)
+    // exactly as it is in production — a sequential replay would hide it
+    // in the untimed publish.
     let write_ops: Vec<ScenarioOp> = scenario
         .ops
         .iter()
@@ -239,30 +195,28 @@ fn bench_policy(c: &mut Criterion) {
             "scenario {}: {} ops ({serves} serve / {publishes} publish / {retracts} retract)",
             spec.name, spec.ops
         );
-        for mode in [Mode::Inline, Mode::Background] {
-            let r = replay(&f, &scenario, mode);
-            let mut sorted = r.serve_ns.clone();
-            sorted.sort_unstable();
-            let mut pub_sorted = r.publish_ns.clone();
-            pub_sorted.sort_unstable();
-            let prefix = format!("policy/{}/{}", spec.name, mode.label());
-            c.metric(&format!("{prefix}/serve_p50_ns"), percentile(&sorted, 50.0));
-            c.metric(&format!("{prefix}/serve_p99_ns"), percentile(&sorted, 99.0));
-            c.metric(
-                &format!("{prefix}/publish_p99_ns"),
-                percentile(&pub_sorted, 99.0),
-            );
-            c.metric(
-                &format!("{prefix}/publish_max_ns"),
-                pub_sorted.last().copied().unwrap_or(0),
-            );
-            c.metric(&format!("{prefix}/folds"), r.folds as u128);
-            c.metric(
-                &format!("{prefix}/wal_records_left"),
-                r.wal_records_left as u128,
-            );
-            c.metric(&format!("{prefix}/failures"), r.failures as u128);
-        }
+        let r = replay(&f, &scenario);
+        let mut sorted = r.serve_ns.clone();
+        sorted.sort_unstable();
+        let mut pub_sorted = r.publish_ns.clone();
+        pub_sorted.sort_unstable();
+        let prefix = format!("policy/{}/background", spec.name);
+        c.metric(&format!("{prefix}/serve_p50_ns"), percentile(&sorted, 50.0));
+        c.metric(&format!("{prefix}/serve_p99_ns"), percentile(&sorted, 99.0));
+        c.metric(
+            &format!("{prefix}/publish_p99_ns"),
+            percentile(&pub_sorted, 99.0),
+        );
+        c.metric(
+            &format!("{prefix}/publish_max_ns"),
+            pub_sorted.last().copied().unwrap_or(0),
+        );
+        c.metric(&format!("{prefix}/folds"), r.folds as u128);
+        c.metric(
+            &format!("{prefix}/wal_records_left"),
+            r.wal_records_left as u128,
+        );
+        c.metric(&format!("{prefix}/failures"), r.failures as u128);
     }
 }
 

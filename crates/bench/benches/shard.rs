@@ -4,16 +4,20 @@
 //!
 //! Writers go through `FusekiLite::insert_triples` — one batch per
 //! template, exactly what `KnowledgeBase::insert` issues — from 4
-//! concurrent threads. The single-store arms serialize every batch behind
-//! the endpoint's global `RwLock`; the sharded arms lock only the shard a
+//! concurrent threads. The single-store arms (one shard) serialize every
+//! batch behind that shard's lock; the sharded arms lock only the shard a
 //! template routes to. The `durable-per-record` arm reproduces the PR-3
 //! journaling behavior (one flush per record, no group commit) as the
 //! before/after baseline for the write-path work in this PR.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use galo_rdf::{parse_select, DurableOptions, FusekiLite, Probe, ScratchDir, Term};
+use galo_rdf::{
+    parse_select, DurableOptions, DurableStore, FusekiLite, Probe, ScratchDir, ShardedStore,
+    TemplateRouter, Term,
+};
 
 const WRITER_THREADS: usize = 4;
 const SHARDS: usize = 4;
@@ -73,7 +77,7 @@ enum WriterLayout {
 /// `insert_triples` batch per template; every layout/arm does identical
 /// total work.
 fn parallel_ingest(server: &FusekiLite, batched: bool, layout: WriterLayout) -> usize {
-    let router = galo_rdf::TemplateRouter::default();
+    let router = TemplateRouter::default();
     let partition: Vec<Vec<u32>> = match layout {
         WriterLayout::Stealing => Vec::new(),
         WriterLayout::ShardAffine => {
@@ -132,6 +136,20 @@ fn parallel_ingest(server: &FusekiLite, batched: bool, layout: WriterLayout) -> 
     server.len()
 }
 
+/// An endpoint over one durable store directory (a 1-shard store).
+fn single_durable(dir: &Path, options: DurableOptions) -> FusekiLite {
+    let store = DurableStore::open_with(dir, options).expect("opens");
+    FusekiLite::from_sharded(ShardedStore::from_store(Box::new(store)))
+}
+
+/// An endpoint over `SHARDS` durable shard directories under `dir`.
+fn sharded_durable(dir: &Path, options: DurableOptions) -> FusekiLite {
+    let router = Box::<TemplateRouter>::default();
+    FusekiLite::from_sharded(
+        ShardedStore::open_durable_with(dir, SHARDS, options, router).expect("opens"),
+    )
+}
+
 /// Multi-threaded template ingest across the backends.
 fn bench_shard_write(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_write");
@@ -148,7 +166,7 @@ fn bench_shard_write(c: &mut Criterion) {
         BenchmarkId::new(format!("sharded-indexed-{SHARDS}"), &param),
         |b| {
             b.iter(|| {
-                let server = FusekiLite::open_sharded(SHARDS);
+                let server = FusekiLite::from_sharded(ShardedStore::new(SHARDS));
                 black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
             })
         },
@@ -156,14 +174,14 @@ fn bench_shard_write(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("single-durable-per-record", &param), |b| {
         b.iter(|| {
             let dir = ScratchDir::new("bench-shard-w1r");
-            let server = FusekiLite::open_durable(dir.path()).expect("opens");
+            let server = single_durable(dir.path(), DurableOptions::default());
             black_box(parallel_ingest(&server, false, WriterLayout::Stealing))
         })
     });
     group.bench_function(BenchmarkId::new("single-durable", &param), |b| {
         b.iter(|| {
             let dir = ScratchDir::new("bench-shard-w1");
-            let server = FusekiLite::open_durable(dir.path()).expect("opens");
+            let server = single_durable(dir.path(), DurableOptions::default());
             black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
         })
     });
@@ -172,24 +190,23 @@ fn bench_shard_write(c: &mut Criterion) {
         |b| {
             b.iter(|| {
                 let dir = ScratchDir::new("bench-shard-wN");
-                let server = FusekiLite::open_sharded_durable(dir.path(), SHARDS).expect("opens");
+                let server = sharded_durable(dir.path(), DurableOptions::default());
                 black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
             })
         },
     );
     // The real-durability configuration: fsync per commit. Group commit
     // makes that one fsync per template batch; the single store
-    // serializes them behind the global lock, while sharded writers
+    // serializes them behind its one shard lock, while sharded writers
     // fsync different shard files concurrently — I/O parallelism that
     // pays off even on a single-CPU host.
     let fsync = DurableOptions {
         fsync_each_record: true,
-        ..DurableOptions::default()
     };
     group.bench_function(BenchmarkId::new("single-durable-fsync", &param), |b| {
         b.iter(|| {
             let dir = ScratchDir::new("bench-shard-wf1");
-            let server = FusekiLite::open_durable_with(dir.path(), fsync.clone()).expect("opens");
+            let server = single_durable(dir.path(), fsync.clone());
             black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
         })
     });
@@ -198,13 +215,7 @@ fn bench_shard_write(c: &mut Criterion) {
         |b| {
             b.iter(|| {
                 let dir = ScratchDir::new("bench-shard-wfN");
-                let server = FusekiLite::open_sharded_durable_with(
-                    dir.path(),
-                    SHARDS,
-                    fsync.clone(),
-                    Box::<galo_rdf::TemplateRouter>::default(),
-                )
-                .expect("opens");
+                let server = sharded_durable(dir.path(), fsync.clone());
                 black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
             })
         },
@@ -214,13 +225,7 @@ fn bench_shard_write(c: &mut Criterion) {
         |b| {
             b.iter(|| {
                 let dir = ScratchDir::new("bench-shard-wfA");
-                let server = FusekiLite::open_sharded_durable_with(
-                    dir.path(),
-                    SHARDS,
-                    fsync.clone(),
-                    Box::<galo_rdf::TemplateRouter>::default(),
-                )
-                .expect("opens");
+                let server = sharded_durable(dir.path(), fsync.clone());
                 black_box(parallel_ingest(&server, true, WriterLayout::ShardAffine))
             })
         },
@@ -235,7 +240,7 @@ fn bench_shard_probe(c: &mut Criterion) {
     group.sample_size(10);
 
     let single = FusekiLite::new();
-    let sharded = FusekiLite::open_sharded(SHARDS);
+    let sharded = FusekiLite::from_sharded(ShardedStore::new(SHARDS));
     for t in 0..TEMPLATES {
         single.insert_triples(template_triples(t));
         sharded.insert_triples(template_triples(t));

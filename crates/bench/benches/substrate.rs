@@ -1,7 +1,7 @@
 //! Microbenchmarks for the substrates GALO sits on: the cost-based
 //! optimizer, the random plan generator, the runtime simulator, the RDF
 //! store and the SPARQL evaluator. These are ablation-style measurements
-//! for the design choices called out in DESIGN.md.
+//! of the substrate design choices.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use galo_core::segment_to_sparql;

@@ -5,8 +5,8 @@
 //! ```
 //!
 //! `--fast` shrinks sampling breadth (fewer probes/random plans/runs) while
-//! preserving every qualitative shape; the recorded EXPERIMENTS.md numbers
-//! come from the full mode.
+//! preserving every qualitative shape; numbers worth recording come from
+//! the full mode (see README "Examples and experiments").
 
 use galo_bench::*;
 

@@ -1,16 +1,10 @@
 //! One construction path for the whole stack.
 //!
-//! Before this module, every way of standing up a knowledge base was its
-//! own constructor, triplicated across the layers: `FusekiLite` had
-//! `new` / `with_backend` / `open_durable[_with]` / `open_sharded` /
-//! `open_sharded_durable[_with]`, `KnowledgeBase` mirrored five of them,
-//! and `Galo` mirrored three — and adding one dimension (the feedback
-//! options of this PR) would have doubled the zoo again. [`KbBuilder`]
-//! collapses the matrix into one validated builder: pick a backend *or*
-//! a shard count *or* a durable directory (in any legal combination),
-//! tune durability ([`fsync`](KbBuilder::fsync), auto-compaction),
-//! routing, feedback and matching options, then materialize whichever
-//! layer you need:
+//! [`KbBuilder`] is the one validated builder for every backend shape:
+//! pick a backend *or* a shard count *or* a durable directory (in any
+//! legal combination), tune durability ([`fsync`](KbBuilder::fsync)),
+//! routing, background compaction, feedback and matching options, then
+//! materialize whichever layer you need:
 //!
 //! - [`build_server`](KbBuilder::build_server) — the raw SPARQL endpoint,
 //! - [`build_kb`](KbBuilder::build_kb) — a [`KnowledgeBase`] (signature
@@ -18,21 +12,24 @@
 //! - [`build_galo`](KbBuilder::build_galo) — the full [`Galo`] facade
 //!   with its match configuration.
 //!
-//! The legacy constructors survive as thin delegating wrappers, so no
-//! call site breaks; new code should come here.
+//! Every shape ends in a [`ShardedStore`] behind
+//! [`FusekiLite::from_sharded`]: a default build is one in-memory shard,
+//! and a caller-supplied backend or a single durable directory (no
+//! `shards`) becomes one shard through [`ShardedStore::from_store`]. The
+//! `KnowledgeBase` and `Galo` convenience constructors delegate here.
 //!
 //! ```
 //! use galo_core::KbBuilder;
 //!
 //! let galo = KbBuilder::new().shards(4).build_galo().unwrap();
-//! assert!(galo.kb.shard_stats().is_some());
+//! assert_eq!(galo.kb.shard_stats().map(|s| s.len()), Some(4));
 //! ```
 
 use std::path::PathBuf;
 
 use galo_rdf::{
-    CompactionPolicy, DurableOptions, FusekiLite, ServerError, ShardRouter, ShardedStore,
-    TripleStore,
+    CompactionPolicy, DurableOptions, DurableStore, FusekiLite, ServerError, ShardRouter,
+    ShardedStore, TemplateRouter, TripleStore,
 };
 
 use crate::feedback::FeedbackOptions;
@@ -55,16 +52,16 @@ pub struct KbBuilder {
 }
 
 impl KbBuilder {
-    /// Start from the defaults: an in-memory hash-indexed single store,
+    /// Start from the defaults: one in-memory hash-indexed shard,
     /// default feedback and match options.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Use a caller-supplied single-store backend. Mutually exclusive
-    /// with [`shards`](Self::shards) and
-    /// [`durable_dir`](Self::durable_dir) — those describe stores the
-    /// builder constructs itself.
+    /// Use a caller-supplied single-store backend, run as one shard (it
+    /// may already hold triples). Mutually exclusive with
+    /// [`shards`](Self::shards) and [`durable_dir`](Self::durable_dir) —
+    /// those describe stores the builder constructs itself.
     pub fn backend(mut self, backend: Box<dyn TripleStore>) -> Self {
         self.backend = Some(backend);
         self
@@ -79,7 +76,7 @@ impl KbBuilder {
     }
 
     /// Routing policy for a sharded store (default:
-    /// [`TemplateRouter`](galo_rdf::TemplateRouter), template-affine).
+    /// [`TemplateRouter`], template-affine).
     /// Only meaningful together with [`shards`](Self::shards).
     pub fn router(mut self, router: Box<dyn ShardRouter>) -> Self {
         self.router = Some(router);
@@ -87,8 +84,10 @@ impl KbBuilder {
     }
 
     /// Persist the store under `dir` (WAL + snapshots, recovered on
-    /// open). The signature index is rebuilt from the recovered triples
-    /// by [`build_kb`](Self::build_kb).
+    /// open): one store directory, or with [`shards`](Self::shards) one
+    /// directory per shard under a `sharded.meta` root. The signature
+    /// index is rebuilt from the recovered triples by
+    /// [`build_kb`](Self::build_kb).
     pub fn durable_dir(mut self, dir: impl AsRef<std::path::Path>) -> Self {
         self.durable_dir = Some(dir.as_ref().to_path_buf());
         self
@@ -103,24 +102,12 @@ impl KbBuilder {
         self
     }
 
-    /// Full durability options (fsync policy plus auto-compaction
-    /// threshold) for a [`durable_dir`](Self::durable_dir) store.
-    pub fn durable_options(mut self, options: DurableOptions) -> Self {
-        self.durable = options;
-        self
-    }
-
     /// Run a background [`Compactor`](galo_rdf::Compactor) over the
     /// built store: WAL folding moves off the write path onto a policy
     /// thread that watches per-shard pressure (see
     /// [`CompactionPolicy`]). Most useful together with
     /// [`durable_dir`](Self::durable_dir); harmless over in-memory
     /// backends, which report zero pressure.
-    ///
-    /// Installing a policy this way disables the durable store's inline
-    /// auto-compaction unless the caller also set a threshold via
-    /// [`durable_options`](Self::durable_options) — the two coexist but
-    /// the background thread is the intended owner.
     pub fn compaction_policy(mut self, policy: CompactionPolicy) -> Self {
         self.compaction = Some(policy);
         self
@@ -158,34 +145,28 @@ impl KbBuilder {
             compaction,
             ..
         } = self;
-        let server = (|| {
-            if let Some(backend) = backend {
-                if shards.is_some() || durable_dir.is_some() || router.is_some() {
-                    return Err(Self::invalid(
-                        "an explicit backend cannot be combined with shards, a \
-                         router, or a durable directory",
-                    ));
-                }
-                return Ok(FusekiLite::with_backend(backend));
+        if backend.is_some() && (shards.is_some() || durable_dir.is_some() || router.is_some()) {
+            return Err(Self::invalid(
+                "an explicit backend cannot be combined with shards, a \
+                 router, or a durable directory",
+            ));
+        }
+        if router.is_some() && shards.is_none() {
+            return Err(Self::invalid("a router requires a shard count"));
+        }
+        let router = || router.unwrap_or_else(|| Box::<TemplateRouter>::default());
+        let store = match (backend, shards, durable_dir) {
+            (Some(backend), _, _) => ShardedStore::from_store(backend),
+            (None, Some(n), Some(dir)) => {
+                ShardedStore::open_durable_with(dir, n, durable, router())?
             }
-            if router.is_some() && shards.is_none() {
-                return Err(Self::invalid("a router requires a shard count"));
+            (None, Some(n), None) => ShardedStore::with_router(n, router()),
+            (None, None, Some(dir)) => {
+                ShardedStore::from_store(Box::new(DurableStore::open_with(dir, durable)?))
             }
-            match (shards, durable_dir) {
-                (Some(n), Some(dir)) => FusekiLite::open_sharded_durable_with(
-                    dir,
-                    n,
-                    durable,
-                    router.unwrap_or_else(|| Box::new(galo_rdf::TemplateRouter::default())),
-                ),
-                (Some(n), None) => Ok(FusekiLite::from_sharded(match router {
-                    Some(r) => ShardedStore::with_router(n, r),
-                    None => ShardedStore::new(n),
-                })),
-                (None, Some(dir)) => FusekiLite::open_durable_with(dir, durable),
-                (None, None) => Ok(FusekiLite::new()),
-            }
-        })()?;
+            (None, None, None) => ShardedStore::new(1),
+        };
+        let server = FusekiLite::from_sharded(store);
         if let Some(policy) = compaction {
             server.compaction_policy(policy);
         }
@@ -224,7 +205,9 @@ mod tests {
     #[test]
     fn default_build_is_in_memory_single_store() {
         let kb = KbBuilder::new().build_kb().unwrap();
-        assert!(kb.shard_stats().is_none());
+        let stats = kb.shard_stats().unwrap();
+        assert_eq!(stats.len(), 1, "a single store is exactly one shard");
+        assert_eq!(stats[0].wal_records, 0, "in memory: no log");
         assert_eq!(kb.template_count(), 0);
     }
 

@@ -457,8 +457,8 @@ impl KnowledgeBase {
             .expect("in-memory knowledge base construction is infallible")
     }
 
-    /// A knowledge base over a caller-supplied [`TripleStore`] backend —
-    /// the seam a persistent or sharded store plugs into.
+    /// A knowledge base over a caller-supplied [`TripleStore`] backend,
+    /// run as a 1-shard store (see [`KbBuilder::backend`](crate::KbBuilder::backend)).
     pub fn with_backend(backend: Box<dyn TripleStore>) -> Self {
         crate::builder::KbBuilder::new()
             .backend(backend)
@@ -504,10 +504,11 @@ impl KnowledgeBase {
             .build_kb()
     }
 
-    /// Per-shard triple/graph counts (`None` over a non-sharded
-    /// backend): how the templates spread over the shards.
+    /// Per-shard triple/graph counts: how the templates spread over the
+    /// shards. Always `Some` — every store is sharded, a single store is
+    /// one shard; the `Option` stays for existing callers.
     pub fn shard_stats(&self) -> Option<Vec<galo_rdf::ShardStats>> {
-        self.server.shard_stats()
+        Some(self.server.shard_stats())
     }
 
     /// Checkpoint the backend: fold the durable store's write-ahead log

@@ -15,7 +15,7 @@ use galo_catalog::Database;
 use galo_qgm::Qgm;
 use galo_sql::Query;
 
-use crate::planner::{prune, to_qgm, Cand, JoinMethod, PhysPlan, Planner, PlannerConfig};
+use crate::planner::{to_qgm, Cand, JoinMethod, PhysPlan, Planner, PlannerConfig};
 
 /// Generates random alternative plans for a query.
 pub struct RandomPlanGenerator<'a> {
@@ -106,10 +106,5 @@ impl<'a> RandomPlanGenerator<'a> {
             }
         }
         plans
-    }
-
-    /// Access to pruned deterministic candidates (used in tests).
-    pub fn best_access(&self, t: usize) -> Vec<Cand> {
-        prune(self.planner.access_candidates(t))
     }
 }

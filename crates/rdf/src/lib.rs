@@ -6,14 +6,14 @@
 //! paths, `INSERT DATA`/`DELETE WHERE`) and a Fuseki-like concurrent
 //! endpoint ([`FusekiLite`]).
 //!
-//! This replaces Apache Jena + Fuseki in the paper's architecture; see
-//! DESIGN.md for the substitution argument.
+//! This replaces Apache Jena + Fuseki in the paper's architecture.
 //!
 //! ## The `TripleStore` contract
 //!
 //! [`TripleStore`] is the swappable storage abstraction every higher
-//! layer compiles against — the SPARQL evaluator is generic over it and
-//! [`FusekiLite`] holds a `Box<dyn TripleStore>`. A backend provides:
+//! layer compiles against — the SPARQL evaluator is generic over it, and
+//! each shard of the [`ShardedStore`] that [`FusekiLite`] fronts holds a
+//! `Box<dyn TripleStore>`. A backend provides:
 //!
 //! * **term interning** (`intern` / `term_id` / `resolve`) with ids that
 //!   stay stable for the store's lifetime;
@@ -34,8 +34,10 @@
 //! persistent backend: an append-only N-Quads write-ahead log plus
 //! periodic binary snapshots around an inner `IndexedStore`, with
 //! crash recovery in [`DurableStore::open`] — see the [`persist`]
-//! module docs for the on-disk formats). A sharded backend only has to
-//! implement the same contract to drop in.
+//! module docs for the on-disk formats). [`ShardedStore`] partitions the
+//! data across N such stores behind per-shard locks and is the one
+//! backing of [`FusekiLite`]; a single store runs as one shard
+//! ([`ShardedStore::from_store`]).
 
 mod fnv;
 pub mod ntriples;

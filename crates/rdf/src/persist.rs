@@ -92,10 +92,6 @@ pub struct DurableOptions {
     /// simulate); fsync additionally survives power loss at a heavy
     /// per-write cost.
     pub fsync_each_record: bool,
-    /// Automatically [`compact`](TripleStore::compact) once this many
-    /// records accumulate in the current log. `None` (the default) leaves
-    /// compaction to the caller.
-    pub auto_compact_records: Option<u64>,
 }
 
 /// A persistent [`TripleStore`]: WAL + snapshot around an in-memory
@@ -124,11 +120,7 @@ pub struct DurableStore {
     /// Records were journaled since the batch began (so `end_batch` knows
     /// whether a flush is owed).
     batch_dirty: bool,
-    /// The auto-compaction threshold tripped inside an open batch; the
-    /// compaction is owed at `end_batch` (rotating the log under a
-    /// half-journaled batch would make an uncommitted prefix durable).
-    compact_deferred: bool,
-    /// Failed compaction attempts since open (auto or explicit). The log
+    /// Failed compaction attempts since open. The log
     /// still holds every record after a failure, so writes keep flowing —
     /// but callers (and the background [`crate::policy::Compactor`]) can
     /// observe the count and back off instead of hot-looping a broken disk.
@@ -266,7 +258,6 @@ impl DurableStore {
             wal_crc,
             in_batch: false,
             batch_dirty: false,
-            compact_deferred: false,
             compactions_failed: 0,
             last_compaction_error: None,
         };
@@ -309,8 +300,7 @@ impl DurableStore {
         self.wal_records
     }
 
-    /// Failed compaction attempts since open (auto-compaction and explicit
-    /// [`TripleStore::compact`] calls both count).
+    /// Failed [`TripleStore::compact`] attempts since open.
     pub fn compactions_failed(&self) -> u64 {
         self.compactions_failed
     }
@@ -363,29 +353,6 @@ impl DurableStore {
             self.wal.get_ref().sync_data()?;
         }
         Ok(())
-    }
-
-    fn maybe_auto_compact(&mut self) {
-        let Some(threshold) = self.options.auto_compact_records else {
-            return;
-        };
-        if self.wal_records < threshold {
-            return;
-        }
-        // Never rotate mid-batch: the snapshot would durably commit the
-        // batch's journaled-so-far prefix while the rest is still buffered,
-        // so a crash before `end_batch` resurrects half a group commit.
-        // The compaction is owed at `end_batch` instead.
-        if self.in_batch {
-            self.compact_deferred = true;
-            return;
-        }
-        // Best-effort: a failed compaction loses nothing (the log still
-        // holds every record), so keep serving writes on the old log. The
-        // failure is counted (`compactions_failed`) inside `compact`.
-        if let Err(e) = self.compact() {
-            eprintln!("durable store auto-compaction failed (will retry): {e}");
-        }
     }
 
     fn term(&self, id: TermId) -> Term {
@@ -782,9 +749,7 @@ impl TripleStore for DurableStore {
         }
         let record = Record::Insert(self.term(t.0), self.term(t.1), self.term(t.2), None);
         self.journal(&record);
-        let added = self.inner.insert_ids(t);
-        self.maybe_auto_compact();
-        added
+        self.inner.insert_ids(t)
     }
 
     fn remove_ids(&mut self, t: Triple) -> bool {
@@ -793,9 +758,7 @@ impl TripleStore for DurableStore {
         }
         let record = Record::Remove(self.term(t.0), self.term(t.1), self.term(t.2), None);
         self.journal(&record);
-        let removed = self.inner.remove_ids(t);
-        self.maybe_auto_compact();
-        removed
+        self.inner.remove_ids(t)
     }
 
     fn clear(&mut self) {
@@ -804,7 +767,6 @@ impl TripleStore for DurableStore {
         }
         self.journal(&Record::Clear);
         self.inner.clear();
-        self.maybe_auto_compact();
     }
 
     fn len(&self) -> usize {
@@ -838,9 +800,7 @@ impl TripleStore for DurableStore {
             Some(self.term(graph)),
         );
         self.journal(&record);
-        let added = self.inner.insert_ids_in(graph, t);
-        self.maybe_auto_compact();
-        added
+        self.inner.insert_ids_in(graph, t)
     }
 
     fn remove_ids_in(&mut self, graph: TermId, t: Triple) -> bool {
@@ -858,9 +818,7 @@ impl TripleStore for DurableStore {
             Some(self.term(graph)),
         );
         self.journal(&record);
-        let removed = self.inner.remove_ids_in(graph, t);
-        self.maybe_auto_compact();
-        removed
+        self.inner.remove_ids_in(graph, t)
     }
 
     fn scan_in(
@@ -890,7 +848,6 @@ impl TripleStore for DurableStore {
     /// them must not keep serving.
     fn end_batch(&mut self) {
         self.in_batch = false;
-        let deferred = std::mem::take(&mut self.compact_deferred);
         if self.batch_dirty {
             self.batch_dirty = false;
             if let Err(e) = self.flush_wal() {
@@ -899,12 +856,6 @@ impl TripleStore for DurableStore {
                     self.wal_path()
                 );
             }
-        }
-        if deferred {
-            // The threshold tripped mid-batch; now that the batch is
-            // committed the rotation is safe. Re-checks the threshold, so
-            // an explicit compact inside the bracket leaves nothing owed.
-            self.maybe_auto_compact();
         }
     }
 
@@ -1309,27 +1260,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_compaction_honors_threshold() {
-        let dir = ScratchDir::new("persist-auto");
-        let mut st = DurableStore::open_with(
-            dir.path(),
-            DurableOptions {
-                auto_compact_records: Some(10),
-                ..DurableOptions::default()
-            },
-        )
-        .unwrap();
-        for i in 0..25u32 {
-            st.insert(iri(i), p("a"), Term::num(i as f64));
-        }
-        assert!(st.generation() >= 2, "two auto-compactions by 25 records");
-        assert!(st.wal_records() < 10);
-        drop(st);
-        let st = DurableStore::open(dir.path()).unwrap();
-        assert_eq!(st.len(), 25);
-    }
-
-    #[test]
     fn terms_are_escaped_through_the_log() {
         let dir = ScratchDir::new("persist-escape");
         let nasty = Term::lit("say \"hi\"\nthen\\leave\ttab");
@@ -1461,78 +1391,6 @@ mod tests {
         assert_eq!(st.wal_records(), 0);
     }
 
-    /// Regression: the auto-compaction threshold tripping *inside* an open
-    /// group-commit bracket must not rotate the log mid-batch. The old
-    /// inline check compacted immediately, snapshotting the batch's
-    /// journaled-so-far prefix — so a kill before `end_batch` resurrected
-    /// half an uncommitted batch on reopen. (This test fails on that code
-    /// path: the mid-batch generation stays 0, and after the kill only the
-    /// pre-batch records exist.)
-    #[test]
-    fn mid_batch_auto_compaction_defers_and_keeps_batches_atomic() {
-        let dir = ScratchDir::new("persist-midbatch");
-        let mut st = DurableStore::open_with(
-            dir.path(),
-            DurableOptions {
-                auto_compact_records: Some(5),
-                ..DurableOptions::default()
-            },
-        )
-        .unwrap();
-        // Three committed pre-batch records.
-        for i in 0..3u32 {
-            st.insert(iri(i), p("pre"), Term::num(i as f64));
-        }
-        assert_eq!(st.generation(), 0);
-        // An open batch crosses the threshold.
-        st.begin_batch();
-        for i in 100..105u32 {
-            st.insert(iri(i), p("batch"), Term::num(i as f64));
-        }
-        assert_eq!(
-            st.generation(),
-            0,
-            "the log must not rotate under an open batch"
-        );
-        // Kill before end_batch: leak the store so the buffered batch
-        // records are dropped exactly as a crash would drop them (the
-        // pre-batch records were already flushed per record).
-        std::mem::forget(st);
-        let st = DurableStore::open(dir.path()).unwrap();
-        assert_eq!(
-            st.len(),
-            3,
-            "an uncommitted batch is all-or-nothing: no prefix survives"
-        );
-        for i in 0..3u32 {
-            assert!(st.contains(&iri(i), &p("pre"), &Term::num(i as f64)));
-        }
-    }
-
-    #[test]
-    fn deferred_auto_compaction_runs_at_end_batch() {
-        let dir = ScratchDir::new("persist-deferred");
-        let mut st = DurableStore::open_with(
-            dir.path(),
-            DurableOptions {
-                auto_compact_records: Some(5),
-                ..DurableOptions::default()
-            },
-        )
-        .unwrap();
-        st.begin_batch();
-        for i in 0..8u32 {
-            st.insert(iri(i), p("a"), Term::num(i as f64));
-        }
-        assert_eq!(st.generation(), 0, "deferred while the batch is open");
-        st.end_batch();
-        assert_eq!(st.generation(), 1, "the owed compaction ran at end_batch");
-        assert_eq!(st.wal_records(), 0);
-        drop(st);
-        let st = DurableStore::open(dir.path()).unwrap();
-        assert_eq!(st.len(), 8, "the whole batch survives the fold");
-    }
-
     #[test]
     fn failed_compaction_is_counted_and_surfaced() {
         let dir = ScratchDir::new("persist-compactfail");
@@ -1560,35 +1418,5 @@ mod tests {
         assert_eq!(st.last_compaction_error(), None);
         drop(st);
         assert_eq!(DurableStore::open(dir.path()).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn auto_compaction_failure_counts_and_keeps_serving() {
-        let dir = ScratchDir::new("persist-autofail");
-        let mut st = DurableStore::open_with(
-            dir.path(),
-            DurableOptions {
-                auto_compact_records: Some(3),
-                ..DurableOptions::default()
-            },
-        )
-        .unwrap();
-        let blocker = wal_file(dir.path(), 1);
-        fs::create_dir(&blocker).unwrap();
-        for i in 0..6u32 {
-            st.insert(iri(i), p("a"), Term::num(i as f64));
-        }
-        assert!(
-            st.compactions_failed() >= 1,
-            "the failed auto-compactions were counted, not just printed"
-        );
-        assert_eq!(st.generation(), 0);
-        assert_eq!(st.len(), 6, "writes kept flowing past the failures");
-        fs::remove_dir(&blocker).unwrap();
-        st.insert(iri(100), p("a"), Term::lit("x"));
-        assert_eq!(st.generation(), 1, "healed disk: the next attempt folds");
-        assert_eq!(st.last_compaction_error(), None);
-        drop(st);
-        assert_eq!(DurableStore::open(dir.path()).unwrap().len(), 7);
     }
 }

@@ -1,10 +1,10 @@
 //! Workload-adaptive storage policy: a background auto-compactor.
 //!
-//! The inline `auto_compact_records` check folds the log *on the mutator
-//! write path* — the writer that happens to journal the threshold-crossing
-//! record pays the whole snapshot-encode + fsync + rotate bill, which is
-//! exactly the latency spike a serving tier cannot afford under churn.
-//! The [`Compactor`] moves that work to a background thread: it polls
+//! Folding the log on the mutator write path would make the writer that
+//! journals the threshold-crossing record pay the whole snapshot-encode +
+//! fsync + rotate bill — exactly the latency spike a serving tier cannot
+//! afford under churn. The [`Compactor`] is the one automatic compaction
+//! policy and does that work on a background thread: it polls
 //! per-shard [`StoragePressure`] (WAL records/bytes — one read lock and
 //! two counter loads per shard) and triggers [`compact`] one shard at a
 //! time, off the write path, under a policy with hysteresis and failure
@@ -45,9 +45,9 @@ use crate::store::StoragePressure;
 
 /// What the [`Compactor`] watches and acts on: anything that can report
 /// per-shard WAL pressure and compact one shard at a time. Implemented by
-/// `FusekiLite`'s backing (single durable store = one "shard"; sharded
-/// store = one entry per shard); tests implement it with fakes to pin the
-/// policy without touching a disk.
+/// [`ShardedStore`](crate::shard::ShardedStore), `FusekiLite`'s backing
+/// (a single store is one shard); tests implement it with fakes to pin
+/// the policy without touching a disk.
 pub trait CompactionTarget: Send + Sync {
     /// Current pressure, one entry per shard, indexed by shard number.
     /// In-memory shards report [`StoragePressure::default`] (all zeros —

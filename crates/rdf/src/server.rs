@@ -10,17 +10,17 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::ntriples::{parse_ntriples, to_ntriples, NtParseError};
 use crate::policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};
-use crate::shard::{ShardRouter, ShardStats, ShardedStore};
+use crate::shard::{ShardStats, ShardedStore};
 use crate::sparql::eval::{evaluate_prepared, prepare_seeded, PreparedQuery};
 use crate::sparql::{
     apply_update, constants_interned, evaluate, parse_select, parse_update, projected_vars,
     ResultSet, SelectQuery, SparqlParseError,
 };
-use crate::store::{IndexedStore, ReadOnlyReplica, StoragePressure, TripleStore};
+use crate::store::{ReadOnlyReplica, StoragePressure, TripleStore};
 use crate::term::{Term, TermId};
 
 /// One compiled knowledge-base probe: a pre-parsed `SELECT` plus variable
@@ -85,23 +85,23 @@ impl From<std::io::Error> for ServerError {
 
 /// In-process SPARQL endpoint with reader/writer concurrency.
 ///
-/// The endpoint is backend-agnostic: it holds a boxed [`TripleStore`], so
-/// a persistent or sharded store drops in through [`FusekiLite::with_backend`]
-/// without touching any caller.
+/// The endpoint always fronts a [`ShardedStore`]. Two constructors
+/// exist: [`new`](Self::new) (one in-memory indexed shard) and
+/// [`from_sharded`](Self::from_sharded) for everything else — N shards,
+/// durable shard directories, or a caller-supplied single store wrapped
+/// as one shard by [`ShardedStore::from_store`]. `galo_core::KbBuilder`
+/// picks among them.
 ///
-/// A [`ShardedStore`] backend gets first-class treatment (the
-/// [`open_sharded*`](Self::open_sharded) constructors): instead of
-/// serializing every write behind the endpoint's single `RwLock`, write
-/// batches lock only the shards they route to — concurrent writers whose
-/// batches land on different shards proceed in parallel — and
+/// Write batches lock only the shards they route to — concurrent writers
+/// whose batches land on different shards proceed in parallel — and
 /// [`probe_batch`](Self::probe_batch) fans the batch out over worker
 /// threads that share one consistent all-shard read session.
 #[derive(Debug)]
 pub struct FusekiLite {
     /// Shared with the background [`Compactor`]'s watcher thread (when a
     /// [`compaction_policy`](Self::compaction_policy) is installed), which
-    /// is why the backing sits behind an `Arc`.
-    store: Arc<Backing>,
+    /// is why the store sits behind an `Arc`.
+    store: Arc<ShardedStore>,
     /// Seqlock-style mutation epoch (see
     /// [`mutation_epoch`](Self::mutation_epoch)): **odd** while a write is
     /// in flight, **even** and advanced by one generation (+2) once a
@@ -110,8 +110,8 @@ pub struct FusekiLite {
     epoch: std::sync::atomic::AtomicU64,
     /// Serializes epoch transitions across writers (a [`MutationScope`]
     /// holds it from begin to commit), so the odd/even protocol stays
-    /// sound even on a sharded backend where the data writes themselves
-    /// only take per-shard locks.
+    /// sound although the data writes themselves only take per-shard
+    /// locks.
     write_serial: Mutex<()>,
     /// Read-replica mode ([`set_read_only`](Self::set_read_only)): every
     /// client write endpoint rejects with a typed
@@ -174,127 +174,23 @@ impl Drop for MutationScope<'_> {
     }
 }
 
-/// The two lock disciplines behind the endpoint: one global `RwLock`
-/// over an arbitrary backend, or a sharded store with per-shard locks.
-#[derive(Debug)]
-enum Backing {
-    Single(RwLock<Box<dyn TripleStore>>),
-    Sharded(ShardedStore),
-}
-
-/// What the background [`Compactor`] watches: a single backend is one
-/// "shard" (index 0); a sharded backend reports and compacts per shard,
-/// holding only the one shard's write lock per fold.
-impl CompactionTarget for Backing {
-    fn storage_pressures(&self) -> Vec<StoragePressure> {
-        match self {
-            Backing::Single(lock) => vec![lock.read().storage_pressure().unwrap_or_default()],
-            Backing::Sharded(s) => s.storage_pressures(),
-        }
-    }
-
-    fn compact_shard(&self, shard: usize) -> std::io::Result<()> {
-        match self {
-            Backing::Single(lock) => {
-                if shard != 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        format!("shard {shard} out of range (single backend)"),
-                    ));
-                }
-                lock.write().compact()
-            }
-            Backing::Sharded(s) => s.compact_shard(shard),
-        }
-    }
-}
-
 impl Default for FusekiLite {
     fn default() -> Self {
-        Self::with_backend(Box::<IndexedStore>::default())
+        Self::from_sharded(ShardedStore::new(1))
     }
 }
 
 impl FusekiLite {
-    /// An endpoint over the default hash-indexed in-memory backend.
+    /// An endpoint over one in-memory hash-indexed shard.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An endpoint over a caller-supplied backend.
-    pub fn with_backend(backend: Box<dyn TripleStore>) -> Self {
-        FusekiLite {
-            store: Arc::new(Backing::Single(RwLock::new(backend))),
-            epoch: std::sync::atomic::AtomicU64::new(0),
-            write_serial: Mutex::new(()),
-            read_only: std::sync::atomic::AtomicBool::new(false),
-            compactor: Mutex::new(None),
-        }
-    }
-
-    /// Wrap an existing store.
-    pub fn from_store(store: impl TripleStore + 'static) -> Self {
-        Self::with_backend(Box::new(store))
-    }
-
-    /// An endpoint over a [`DurableStore`](crate::persist::DurableStore)
-    /// rooted at `dir`: the dataset-on-disk constructor. Opening recovers
-    /// the newest valid snapshot plus the committed write-ahead-log tail
-    /// (a torn trailing record is dropped), so the endpoint resumes where
-    /// the last process stopped.
-    pub fn open_durable(dir: impl AsRef<std::path::Path>) -> Result<Self, ServerError> {
-        Ok(Self::from_store(crate::persist::DurableStore::open(dir)?))
-    }
-
-    /// [`open_durable`](Self::open_durable) with explicit
-    /// [`DurableOptions`](crate::persist::DurableOptions).
-    pub fn open_durable_with(
-        dir: impl AsRef<std::path::Path>,
-        options: crate::persist::DurableOptions,
-    ) -> Result<Self, ServerError> {
-        Ok(Self::from_store(crate::persist::DurableStore::open_with(
-            dir, options,
-        )?))
-    }
-
-    /// An endpoint over an in-memory [`ShardedStore`]: `shards` indexed
-    /// stores behind per-shard locks, template-affine routing. Write
-    /// batches to different shards no longer serialize against each
-    /// other.
-    pub fn open_sharded(shards: usize) -> Self {
-        Self::from_sharded(ShardedStore::new(shards))
-    }
-
-    /// An endpoint over a durable sharded store: one WAL+snapshot
-    /// directory per shard under `dir`, recovered in parallel on open.
-    pub fn open_sharded_durable(
-        dir: impl AsRef<std::path::Path>,
-        shards: usize,
-    ) -> Result<Self, ServerError> {
-        Ok(Self::from_sharded(ShardedStore::open_durable(dir, shards)?))
-    }
-
-    /// [`open_sharded_durable`](Self::open_sharded_durable) with explicit
-    /// per-shard [`DurableOptions`](crate::persist::DurableOptions) and
-    /// routing policy.
-    pub fn open_sharded_durable_with(
-        dir: impl AsRef<std::path::Path>,
-        shards: usize,
-        options: crate::persist::DurableOptions,
-        router: Box<dyn ShardRouter>,
-    ) -> Result<Self, ServerError> {
-        Ok(Self::from_sharded(ShardedStore::open_durable_with(
-            dir, shards, options, router,
-        )?))
-    }
-
-    /// Wrap an existing sharded store, keeping its concurrent write and
-    /// parallel probe paths (boxing it through
-    /// [`with_backend`](Self::with_backend) would still be correct, but
-    /// every write would serialize behind the endpoint's global lock).
+    /// An endpoint over `store`: its shards' locks, routing and (for a
+    /// durable store) directories.
     pub fn from_sharded(store: ShardedStore) -> Self {
         FusekiLite {
-            store: Arc::new(Backing::Sharded(store)),
+            store: Arc::new(store),
             epoch: std::sync::atomic::AtomicU64::new(0),
             write_serial: Mutex::new(()),
             read_only: std::sync::atomic::AtomicBool::new(false),
@@ -386,28 +282,22 @@ impl FusekiLite {
         }
     }
 
-    /// The sharded backend, when this endpoint has one.
-    pub fn sharded(&self) -> Option<&ShardedStore> {
-        match &*self.store {
-            Backing::Single(_) => None,
-            Backing::Sharded(s) => Some(s),
-        }
+    /// The store behind the endpoint.
+    pub fn sharded(&self) -> &ShardedStore {
+        &self.store
     }
 
-    /// Per-shard triple/graph counts (`None` over a non-sharded backend).
-    pub fn shard_stats(&self) -> Option<Vec<ShardStats>> {
-        self.sharded().map(ShardedStore::shard_stats)
+    /// Per-shard triple/graph counts and WAL counters.
+    pub fn shard_stats(&self) -> Vec<ShardStats> {
+        self.store.shard_stats()
     }
 
-    /// Checkpoint the backend ([`TripleStore::compact`]): a no-op for the
-    /// in-memory stores, a snapshot-write-plus-log-rotation for a durable
-    /// one — fanned out across shard directories on a sharded backend.
-    /// Serializes with updates.
+    /// Checkpoint every shard ([`TripleStore::compact`]): a no-op for
+    /// in-memory shards, a snapshot-write-plus-log-rotation for durable
+    /// ones, fanned out across shard directories. Serializes with
+    /// updates.
     pub fn compact(&self) -> std::io::Result<()> {
-        match &*self.store {
-            Backing::Single(lock) => lock.write().compact(),
-            Backing::Sharded(s) => s.compact_all(),
-        }
+        self.store.compact_all()
     }
 
     /// Install a background compaction policy: spawn a [`Compactor`]
@@ -438,9 +328,9 @@ impl FusekiLite {
         *self.compactor.lock() = None;
     }
 
-    /// Per-shard WAL pressure of the backing (one entry for a single
-    /// backend) — what the background compactor watches; exposed so
-    /// callers and tests can observe it through the endpoint too.
+    /// Per-shard WAL pressure — what the background compactor watches;
+    /// exposed so callers and tests can observe it through the endpoint
+    /// too.
     pub fn storage_pressures(&self) -> Vec<StoragePressure> {
         self.store.storage_pressures()
     }
@@ -479,17 +369,8 @@ impl FusekiLite {
     /// [`probe_batch`](Self::probe_batch) with an explicit worker count
     /// (the shard bench pins it; `1` forces the sequential path).
     pub fn probe_batch_threads(&self, probes: &[Probe<'_>], threads: usize) -> Vec<ResultSet> {
-        match &*self.store {
-            Backing::Single(lock) => {
-                let guard = lock.read();
-                run_probes_parallel(guard.as_ref(), probes, threads)
-            }
-            Backing::Sharded(s) => {
-                let session = s.read_session();
-                let view = session.view();
-                run_probes_parallel(&view, probes, threads)
-            }
-        }
+        let session = self.store.read_session();
+        run_probes_parallel(&session.view(), probes, threads)
     }
 
     /// Execute a SPARQL update from text; returns affected triple count.
@@ -507,29 +388,22 @@ impl FusekiLite {
         Ok(n)
     }
 
-    /// Insert a batch of triples in one write transaction. On a durable
-    /// backend the whole batch group-commits (one journal flush); on a
-    /// sharded backend only the shards the batch routes to are locked,
-    /// so concurrent batches bound for different shards proceed in
-    /// parallel.
-    pub fn insert_triples(&self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> usize {
-        self.assert_writable("insert_triples");
+    /// One batch write under its own [`mutation_scope`](Self::mutation_scope):
+    /// the epoch advances iff the write changed anything.
+    fn batch_write(&self, op: &'static str, write: impl FnOnce(&ShardedStore) -> usize) -> usize {
+        self.assert_writable(op);
         let scope = self.mutation_scope();
-        let n = match &*self.store {
-            Backing::Single(lock) => {
-                let mut store = lock.write();
-                store.begin_batch();
-                let n = triples
-                    .into_iter()
-                    .filter(|(s, p, o)| store.insert(s.clone(), p.clone(), o.clone()))
-                    .count();
-                store.end_batch();
-                n
-            }
-            Backing::Sharded(s) => s.insert_terms_batch(triples),
-        };
+        let n = write(&self.store);
         scope.commit(n > 0);
         n
+    }
+
+    /// Insert a batch of triples in one write transaction. Only the
+    /// shards the batch routes to are locked, so concurrent batches bound
+    /// for different shards proceed in parallel; on durable shards each
+    /// routed shard group-commits its part (one journal flush).
+    pub fn insert_triples(&self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> usize {
+        self.batch_write("insert_triples", |st| st.insert_terms_batch(triples))
     }
 
     /// Insert a batch of triples into a named graph in one transaction
@@ -540,47 +414,20 @@ impl FusekiLite {
         graph: Term,
         triples: impl IntoIterator<Item = (Term, Term, Term)>,
     ) -> usize {
-        self.assert_writable("insert_triples_in");
-        let scope = self.mutation_scope();
-        let n = match &*self.store {
-            Backing::Single(lock) => {
-                let mut store = lock.write();
-                store.begin_batch();
-                let g = store.intern(graph);
-                let n = triples
-                    .into_iter()
-                    .filter(|(s, p, o)| {
-                        let t = (
-                            store.intern(s.clone()),
-                            store.intern(p.clone()),
-                            store.intern(o.clone()),
-                        );
-                        store.insert_ids_in(g, t)
-                    })
-                    .count();
-                store.end_batch();
-                n
-            }
-            Backing::Sharded(s) => s.insert_terms_batch_in(graph, triples),
-        };
-        scope.commit(n > 0);
-        n
+        self.batch_write("insert_triples_in", |st| {
+            st.insert_terms_batch_in(graph, triples)
+        })
     }
 
     /// Append a mixed batch of default-graph triples (`graph: None`) and
     /// named-graph tags (`graph: Some(g)`) in **one** write transaction —
     /// the batch-publish endpoint distributed learner machines push their
-    /// mined templates through. On a durable backend the whole batch
-    /// group-commits; on a sharded backend each quad routes by subject,
-    /// so a template's triples and its workload-dataset tag land
-    /// write-local on one shard and only the routed shards are locked.
-    /// Returns how many quads were new.
+    /// mined templates through. Each quad routes by subject, so a
+    /// template's triples and its workload-dataset tag land write-local
+    /// on one shard; only the routed shards are locked, and each
+    /// group-commits its part. Returns how many quads were new.
     pub fn insert_quads(&self, quads: impl IntoIterator<Item = crate::ntriples::Quad>) -> usize {
-        self.assert_writable("insert_quads");
-        let scope = self.mutation_scope();
-        let n = self.insert_quads_raw(quads);
-        scope.commit(n > 0);
-        n
+        self.batch_write("insert_quads", |st| st.insert_quads_batch(quads))
     }
 
     /// [`insert_quads`](Self::insert_quads) without its own
@@ -594,45 +441,14 @@ impl FusekiLite {
         quads: impl IntoIterator<Item = crate::ntriples::Quad>,
     ) -> usize {
         self.assert_writable("insert_quads_raw");
-        match &*self.store {
-            Backing::Single(lock) => {
-                let mut store = lock.write();
-                store.begin_batch();
-                let n = quads
-                    .into_iter()
-                    .filter(|(s, p, o, graph)| match graph {
-                        Some(g) => store.insert_in(g.clone(), s.clone(), p.clone(), o.clone()),
-                        None => store.insert(s.clone(), p.clone(), o.clone()),
-                    })
-                    .count();
-                store.end_batch();
-                n
-            }
-            Backing::Sharded(s) => s.insert_quads_batch(quads),
-        }
+        self.store.insert_quads_batch(quads)
     }
 
     /// Remove a batch of triples in one write transaction; returns how
     /// many were present. Batched like
     /// [`insert_triples`](Self::insert_triples).
     pub fn remove_triples(&self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> usize {
-        self.assert_writable("remove_triples");
-        let scope = self.mutation_scope();
-        let n = match &*self.store {
-            Backing::Single(lock) => {
-                let mut store = lock.write();
-                store.begin_batch();
-                let n = triples
-                    .into_iter()
-                    .filter(|(s, p, o)| store.remove(s, p, o))
-                    .count();
-                store.end_batch();
-                n
-            }
-            Backing::Sharded(s) => s.remove_terms_batch(triples),
-        };
-        scope.commit(n > 0);
-        n
+        self.batch_write("remove_triples", |st| st.remove_terms_batch(triples))
     }
 
     /// Names of the dataset's non-empty named graphs.
@@ -640,34 +456,23 @@ impl FusekiLite {
         self.with_store(|st| st.graph_names())
     }
 
-    /// Run a closure with read access to the store (bulk extraction). On
-    /// a sharded backend this is an all-shard read session: a stable
-    /// view for the closure's lifetime.
+    /// Run a closure with read access to the store (bulk extraction): an
+    /// all-shard read session, a stable view for the closure's lifetime.
     pub fn with_store<T>(&self, f: impl FnOnce(&dyn TripleStore) -> T) -> T {
-        match &*self.store {
-            Backing::Single(lock) => f(lock.read().as_ref()),
-            Backing::Sharded(s) => {
-                let session = s.read_session();
-                f(&session.view())
-            }
-        }
+        let session = self.store.read_session();
+        f(&session.view())
     }
 
-    /// Run a closure with exclusive write access (a write transaction;
-    /// an all-shard write session on a sharded backend). Raw access does
+    /// Run a closure with exclusive write access (a write transaction:
+    /// an all-shard write session). Raw access does
     /// **not** advance the [`mutation_epoch`](Self::mutation_epoch) —
     /// callers that mutate through it must hold a
     /// [`mutation_scope`](Self::mutation_scope) spanning their whole
     /// logical change (including any derived index) and commit it once
     /// fully applied, as the knowledge base's mutators do.
     pub fn with_store_mut<T>(&self, f: impl FnOnce(&mut dyn TripleStore) -> T) -> T {
-        match &*self.store {
-            Backing::Single(lock) => f(lock.write().as_mut()),
-            Backing::Sharded(s) => {
-                let mut session = s.write_session();
-                f(&mut session.view_mut())
-            }
-        }
+        let mut session = self.store.write_session();
+        f(&mut session.view_mut())
     }
 
     /// Number of triples currently stored.
@@ -687,7 +492,7 @@ impl FusekiLite {
     /// Replace the dataset from N-Triples / N-Quads text (quad lines
     /// restore named graphs). The text is fully parsed before the current
     /// contents are dropped, so a malformed import leaves the dataset
-    /// untouched — and the backend is preserved. Returns the number of
+    /// untouched — and the store is preserved. Returns the number of
     /// default-graph triples imported.
     pub fn import(&self, text: &str) -> Result<usize, ServerError> {
         self.write_guard("import")?;
@@ -1012,7 +817,10 @@ mod tests {
         // in-flight value and lands on the next even one. At rest the
         // counter is always even.
         const GEN: u64 = 2;
-        for f in [FusekiLite::new(), FusekiLite::open_sharded(4)] {
+        for f in [
+            FusekiLite::new(),
+            FusekiLite::from_sharded(ShardedStore::new(4)),
+        ] {
             let e0 = f.mutation_epoch();
             assert_eq!(e0 % 2, 0, "epoch must be even at rest");
             // A content-changing insert advances exactly one generation.
@@ -1071,7 +879,7 @@ mod tests {
     }
 
     fn seeded_sharded(shards: usize) -> FusekiLite {
-        let f = FusekiLite::open_sharded(shards);
+        let f = FusekiLite::from_sharded(ShardedStore::new(shards));
         f.insert_triples((0..50u32).map(|i| {
             (
                 Term::iri(format!("http://galo/qep/pop/{i}")),
@@ -1087,9 +895,16 @@ mod tests {
         let single = seeded();
         let sharded = seeded_sharded(4);
         assert_eq!(sharded.len(), 50);
-        assert!(sharded.sharded().is_some() && single.sharded().is_none());
-        let stats = sharded.shard_stats().expect("sharded backend");
+        assert_eq!(sharded.sharded().shard_count(), 4);
+        assert_eq!(
+            single.sharded().shard_count(),
+            1,
+            "a plain endpoint is one shard"
+        );
+        let stats = sharded.shard_stats();
         assert_eq!(stats.iter().map(|s| s.triples).sum::<usize>(), 50);
+        assert_eq!(single.shard_stats().len(), 1);
+        assert_eq!(single.shard_stats()[0].triples, 50);
         for q in [
             "SELECT ?s WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> ?c . \
              FILTER(?c >= 4800) }",
@@ -1106,7 +921,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         let dump = sharded.export();
-        let back = FusekiLite::open_sharded(3);
+        let back = FusekiLite::from_sharded(ShardedStore::new(3));
         assert_eq!(back.import(&dump).unwrap(), 51);
         assert_eq!(back.len(), 51);
         // remove_triples routes to the owning shards.
@@ -1147,7 +962,10 @@ mod tests {
 
     #[test]
     fn insert_quads_lands_default_and_named_graph_triples() {
-        for f in [FusekiLite::new(), FusekiLite::open_sharded(4)] {
+        for f in [
+            FusekiLite::new(),
+            FusekiLite::from_sharded(ShardedStore::new(4)),
+        ] {
             let g = Term::iri("http://galo/kb/graph/workload/w1");
             let n = f.insert_quads((0..10u32).flat_map(|i| {
                 let s = Term::iri(format!("http://galo/kb/template/{i:016x}"));
@@ -1182,15 +1000,14 @@ mod tests {
                 None,
             )]);
             assert_eq!(again, 0);
-            if let Some(stats) = f.shard_stats() {
-                assert_eq!(stats.iter().map(|s| s.triples).sum::<usize>(), 10);
-                assert_eq!(stats.iter().map(|s| s.graph_triples).sum::<usize>(), 10);
-                // Template-affine routing: a template's triple and its
-                // tag live on the same shard, so any shard holding tags
-                // also holds that many template triples at least.
-                for s in &stats {
-                    assert!(s.graph_triples <= s.triples, "{s:?}");
-                }
+            let stats = f.shard_stats();
+            assert_eq!(stats.iter().map(|s| s.triples).sum::<usize>(), 10);
+            assert_eq!(stats.iter().map(|s| s.graph_triples).sum::<usize>(), 10);
+            // Template-affine routing: a template's triple and its tag
+            // live on the same shard, so any shard holding tags also
+            // holds that many template triples at least.
+            for s in &stats {
+                assert!(s.graph_triples <= s.triples, "{s:?}");
             }
         }
     }
@@ -1200,7 +1017,7 @@ mod tests {
         // Writers whose batches route to different shards proceed without
         // a global write lock; readers see consistent sessions. The final
         // image must contain every write (no lost updates).
-        let f = Arc::new(FusekiLite::open_sharded(4));
+        let f = Arc::new(FusekiLite::from_sharded(ShardedStore::new(4)));
         let mut handles = Vec::new();
         for w in 0..4u32 {
             let f = Arc::clone(&f);
@@ -1227,7 +1044,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(f.len(), 80, "all concurrent writes must land");
-        let stats = f.shard_stats().unwrap();
+        let stats = f.shard_stats();
         assert!(
             stats.iter().filter(|s| s.triples > 0).count() > 1,
             "writes must actually spread over shards: {stats:?}"
@@ -1261,7 +1078,7 @@ mod tests {
     fn background_compaction_policy_folds_a_sharded_backing() {
         let dir = crate::persist::ScratchDir::new("server-policy-sharded");
         {
-            let f = FusekiLite::open_sharded_durable(dir.path(), 2).unwrap();
+            let f = FusekiLite::from_sharded(ShardedStore::open_durable(dir.path(), 2).unwrap());
             let stats = f.compaction_policy(test_policy());
             f.insert_triples((0..200u32).map(|i| {
                 (
@@ -1284,14 +1101,21 @@ mod tests {
             assert_eq!(f.len(), 200, "compaction never loses content");
         }
         // Folded image survives reopen.
-        let g = FusekiLite::open_sharded_durable(dir.path(), 2).unwrap();
+        let g = FusekiLite::from_sharded(ShardedStore::open_durable(dir.path(), 2).unwrap());
         assert_eq!(g.len(), 200);
+    }
+
+    /// One `DurableStore` directory (no `sharded.meta`) behind the
+    /// endpoint as a 1-shard store.
+    fn open_single_durable(dir: &std::path::Path) -> FusekiLite {
+        let store = crate::persist::DurableStore::open(dir).unwrap();
+        FusekiLite::from_sharded(ShardedStore::from_store(Box::new(store)))
     }
 
     #[test]
     fn background_compaction_policy_treats_single_backing_as_one_shard() {
         let dir = crate::persist::ScratchDir::new("server-policy-single");
-        let f = FusekiLite::open_durable(dir.path()).unwrap();
+        let f = open_single_durable(dir.path());
         let stats = f.compaction_policy(test_policy());
         f.insert_triples((0..100u32).map(|i| {
             (
@@ -1308,7 +1132,7 @@ mod tests {
         // Dropping the endpoint joins the watcher thread (no panic, no
         // hang); content is intact on reopen.
         drop(f);
-        let g = FusekiLite::open_durable(dir.path()).unwrap();
+        let g = open_single_durable(dir.path());
         assert_eq!(g.len(), 100);
     }
 

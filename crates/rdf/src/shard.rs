@@ -2,13 +2,14 @@
 //! inner stores with per-shard locking.
 //!
 //! The knowledge base is a shared service: every optimized query probes
-//! it online while off-peak learning runs append to it. The single-store
-//! backends serialize all of that behind `FusekiLite`'s one `RwLock`;
+//! it online while off-peak learning runs append to it.
 //! [`ShardedStore`] partitions the default graph across N inner stores —
 //! each behind its own lock — so writes to *different* shards proceed
 //! concurrently, batched probes are served by parallel workers over one
 //! consistent read session, and recovery/compaction of a durable store
-//! fan out across shard directories.
+//! fan out across shard directories. It is the one storage backing of
+//! `FusekiLite`: a single store is a 1-shard `ShardedStore`
+//! ([`ShardedStore::from_store`]).
 //!
 //! # Architecture
 //!
@@ -63,6 +64,7 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::fnv::{fnv1a, fnv1a_with, FNV_OFFSET};
 use crate::persist::{DurableOptions, DurableStore};
+use crate::policy::CompactionTarget;
 use crate::store::{IndexedStore, StoragePressure, Triple, TripleStore};
 use crate::term::{Term, TermId};
 
@@ -588,13 +590,11 @@ const META_MAGIC: &str = "galo-sharded v1";
 
 /// A sharded [`TripleStore`]: N inner stores behind per-shard locks.
 ///
-/// Implements the full `TripleStore` contract (so it drops into
-/// `FusekiLite::with_backend` / `KnowledgeBase::with_backend` like any
-/// other backend), and additionally exposes the concurrent `&self` API
-/// the sharded `FusekiLite` paths use: [`insert_terms_batch`] /
-/// [`remove_terms_batch`] / [`insert_terms_batch_in`] lock only the
-/// shards a batch routes to, and [`read_session`] / [`write_session`]
-/// provide whole-store transactions.
+/// Implements the full `TripleStore` contract, and additionally exposes
+/// the concurrent `&self` API the `FusekiLite` endpoint runs on:
+/// [`insert_terms_batch`] / [`remove_terms_batch`] /
+/// [`insert_terms_batch_in`] lock only the shards a batch routes to, and
+/// [`read_session`] / [`write_session`] provide whole-store transactions.
 ///
 /// [`insert_terms_batch`]: Self::insert_terms_batch
 /// [`remove_terms_batch`]: Self::remove_terms_batch
@@ -627,12 +627,38 @@ impl ShardedStore {
     /// [`new`](Self::new) with an explicit routing policy.
     pub fn with_router(shards: usize, router: Box<dyn ShardRouter>) -> Self {
         assert!(shards >= 1, "a sharded store needs at least one shard");
-        ShardedStore {
-            interner: SharedInterner::new(),
+        Self::from_states(
+            SharedInterner::new(),
             router,
-            shards: (0..shards)
-                .map(|_| RwLock::new(ShardState::fresh(Box::<IndexedStore>::default())))
+            (0..shards)
+                .map(|_| ShardState::fresh(Box::<IndexedStore>::default()))
                 .collect(),
+        )
+    }
+
+    /// A 1-shard store over a caller-supplied backend — how a single
+    /// store (a custom backend, or one [`DurableStore`] directory with no
+    /// `sharded.meta`) sits behind the endpoint. The backend may already
+    /// hold triples: the id translation is rebuilt from them, exactly as
+    /// durable recovery does, and the backend's on-disk layout (if any)
+    /// is left as it is.
+    pub fn from_store(store: Box<dyn TripleStore>) -> Self {
+        let interner = SharedInterner::new();
+        let mut state = ShardState::fresh(store);
+        state.rebuild_translation(&interner);
+        Self::from_states(interner, Box::<TemplateRouter>::default(), vec![state])
+    }
+
+    /// The one constructor every public one funnels through.
+    fn from_states(
+        interner: SharedInterner,
+        router: Box<dyn ShardRouter>,
+        states: Vec<ShardState>,
+    ) -> Self {
+        ShardedStore {
+            interner,
+            router,
+            shards: states.into_iter().map(RwLock::new).collect(),
         }
     }
 
@@ -708,11 +734,7 @@ impl ShardedStore {
                 .map(|h| h.join().expect("shard recovery must not panic"))
                 .collect::<io::Result<Vec<_>>>()
         })?;
-        Ok(ShardedStore {
-            interner,
-            router,
-            shards: states.into_iter().map(RwLock::new).collect(),
-        })
+        Ok(Self::from_states(interner, router, states))
     }
 
     /// Number of shards.
@@ -745,31 +767,6 @@ impl ShardedStore {
             .collect()
     }
 
-    /// Per-shard write-ahead-log pressure, cheap enough for a policy
-    /// thread to poll: one read lock and a couple of counter loads per
-    /// shard, no scans (unlike [`shard_stats`](Self::shard_stats)).
-    /// In-memory shards report [`StoragePressure::default`] (all zeros).
-    pub fn storage_pressures(&self) -> Vec<StoragePressure> {
-        self.shards
-            .iter()
-            .map(|lock| lock.read().store.storage_pressure().unwrap_or_default())
-            .collect()
-    }
-
-    /// Compact a single shard, holding only that shard's write lock — the
-    /// background [`Compactor`](crate::policy::Compactor) folds shards one
-    /// at a time so writers to other shards never stall behind a rotation
-    /// (unlike [`compact_all`](Self::compact_all)'s whole-store fan-out).
-    pub fn compact_shard(&self, shard: usize) -> io::Result<()> {
-        let lock = self.shards.get(shard).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("shard {shard} out of range ({} shards)", self.shards.len()),
-            )
-        })?;
-        lock.write().store.compact()
-    }
-
     /// Route an interned triple through the placement policy.
     fn route_global(&self, t: Triple) -> usize {
         self.router.route(
@@ -799,74 +796,30 @@ impl ShardedStore {
         }
     }
 
-    /// Insert a batch of term triples, locking **only the shards the
-    /// batch routes to** — concurrent writers whose batches land on
-    /// different shards proceed in parallel. Each touched shard gets one
-    /// group-commit bracket (one journal flush per shard per batch on a
-    /// durable backend). Returns how many triples were new.
+    /// Insert a batch of default-graph term triples: a
+    /// [`insert_quads_batch`](Self::insert_quads_batch) with no graph
+    /// labels. Returns how many triples were new.
     pub fn insert_terms_batch(
         &self,
         triples: impl IntoIterator<Item = (Term, Term, Term)>,
     ) -> usize {
-        let mut routed: Vec<Vec<Triple>> = vec![Vec::new(); self.shards.len()];
-        for (s, p, o) in triples {
-            let k = self.router.route(self.shards.len(), &s, &p, &o);
-            routed[k].push((
-                self.interner.intern(&s),
-                self.interner.intern(&p),
-                self.interner.intern(&o),
-            ));
-        }
-        let mut added = 0;
-        for (k, batch) in routed.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[k].write();
-            shard.store.begin_batch();
-            for t in batch {
-                if shard.insert_global(t, &self.interner) {
-                    added += 1;
-                }
-            }
-            shard.store.end_batch();
-        }
-        added
+        self.insert_quads_batch(triples.into_iter().map(|(s, p, o)| (s, p, o, None)))
     }
 
-    /// Batched named-graph tagging, routed like
-    /// [`insert_terms_batch`](Self::insert_terms_batch) (by subject, so a
-    /// template's tag lives with its triples).
+    /// Batched named-graph tagging: an
+    /// [`insert_quads_batch`](Self::insert_quads_batch) with every quad in
+    /// `graph` (routed by subject, so a template's tag lives with its
+    /// triples).
     pub fn insert_terms_batch_in(
         &self,
         graph: Term,
         triples: impl IntoIterator<Item = (Term, Term, Term)>,
     ) -> usize {
-        let g = self.interner.intern(&graph);
-        let mut routed: Vec<Vec<Triple>> = vec![Vec::new(); self.shards.len()];
-        for (s, p, o) in triples {
-            let k = self.router.route(self.shards.len(), &s, &p, &o);
-            routed[k].push((
-                self.interner.intern(&s),
-                self.interner.intern(&p),
-                self.interner.intern(&o),
-            ));
-        }
-        let mut added = 0;
-        for (k, batch) in routed.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[k].write();
-            shard.store.begin_batch();
-            for t in batch {
-                if shard.insert_in_global(g, t, &self.interner) {
-                    added += 1;
-                }
-            }
-            shard.store.end_batch();
-        }
-        added
+        self.insert_quads_batch(
+            triples
+                .into_iter()
+                .map(|(s, p, o)| (s, p, o, Some(graph.clone()))),
+        )
     }
 
     /// Insert a mixed batch of default-graph triples (`graph: None`) and
@@ -874,8 +827,10 @@ impl ShardedStore {
     /// endpoint a learner machine appends its mined templates through.
     /// Every quad routes by its subject (so a template's triples *and*
     /// its workload-dataset tag land on the same, write-local shard) and
-    /// only the routed shards are locked, each under one group-commit
-    /// bracket. Returns how many quads were new.
+    /// only the routed shards are locked — concurrent writers whose
+    /// batches land on different shards proceed in parallel — each under
+    /// one group-commit bracket (one journal flush per shard per batch on
+    /// a durable backend). Returns how many quads were new.
     pub fn insert_quads_batch(
         &self,
         quads: impl IntoIterator<Item = (Term, Term, Term, Option<Term>)>,
@@ -968,6 +923,35 @@ impl ShardedStore {
     /// Momentary all-shard read guards for the per-call trait reads.
     fn guards(&self) -> Vec<RwLockReadGuard<'_, ShardState>> {
         self.shards.iter().map(|s| s.read()).collect()
+    }
+}
+
+/// What the background [`Compactor`](crate::policy::Compactor) watches:
+/// per-shard pressure, and folds of one shard at a time.
+impl CompactionTarget for ShardedStore {
+    /// Per-shard write-ahead-log pressure, cheap enough for a policy
+    /// thread to poll: one read lock and a couple of counter loads per
+    /// shard, no scans (unlike [`shard_stats`](Self::shard_stats)).
+    /// In-memory shards report [`StoragePressure::default`] (all zeros).
+    fn storage_pressures(&self) -> Vec<StoragePressure> {
+        self.shards
+            .iter()
+            .map(|lock| lock.read().store.storage_pressure().unwrap_or_default())
+            .collect()
+    }
+
+    /// Compact a single shard, holding only that shard's write lock — the
+    /// background [`Compactor`](crate::policy::Compactor) folds shards one
+    /// at a time so writers to other shards never stall behind a rotation
+    /// (unlike [`compact_all`](Self::compact_all)'s whole-store fan-out).
+    fn compact_shard(&self, shard: usize) -> io::Result<()> {
+        let lock = self.shards.get(shard).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("shard {shard} out of range ({} shards)", self.shards.len()),
+            )
+        })?;
+        lock.write().store.compact()
     }
 }
 
@@ -1725,6 +1709,87 @@ mod tests {
         for (i, &id) in ids[0].iter().enumerate() {
             assert_eq!(store.interner.resolve(id), &tpl_iri(i as u32 % 50));
         }
+    }
+
+    /// Copy a store directory tree as it is on disk right now — the image
+    /// a process killed at this instant leaves behind.
+    fn crash_image(from: &Path, to: &Path) {
+        fs::create_dir_all(to).unwrap();
+        for entry in fs::read_dir(from).unwrap() {
+            let path = entry.unwrap().path();
+            let dest = to.join(path.file_name().unwrap());
+            if path.is_dir() {
+                crash_image(&path, &dest);
+            } else {
+                fs::copy(&path, &dest).unwrap();
+            }
+        }
+    }
+
+    /// Regression: a fold must never make a prefix of an open group-commit
+    /// batch durable. Compacting under a half-journaled batch snapshots
+    /// its journaled-so-far prefix, so a kill before `end_batch` would
+    /// resurrect half an uncommitted batch. The background compactor folds
+    /// through `compact_shard`, which takes the shard's write lock — held
+    /// by the writer for the whole batch — so an over-threshold shard is
+    /// folded only once the batch has committed.
+    #[test]
+    fn mid_batch_compaction_keeps_batches_atomic() {
+        use crate::policy::{CompactionPolicy, Compactor};
+        use std::sync::Arc;
+        use std::time::Duration;
+        let dir = ScratchDir::new("shard-midbatch");
+        let store = Arc::new(ShardedStore::open_durable(dir.path(), 1).unwrap());
+        let pre = |i: u32| (tpl_iri(i), prop("pre"), Term::num(i as f64));
+        let batch = |i: u32| (tpl_iri(100 + i), prop("batch"), Term::num(i as f64));
+        // Three committed pre-batch records, below the fold threshold.
+        store.insert_terms_batch((0..3).map(pre));
+        let compactor = Compactor::spawn(
+            Arc::clone(&store) as Arc<dyn CompactionTarget>,
+            CompactionPolicy {
+                wal_records: 5,
+                idle_divisor: 0,
+                min_interval: Duration::from_millis(1),
+                poll_interval: Duration::from_millis(1),
+                ..CompactionPolicy::default()
+            },
+        );
+        let stats = compactor.stats();
+        let crash = ScratchDir::new("shard-midbatch-crash");
+        {
+            // An open batch crosses the threshold.
+            let mut session = store.write_session();
+            let mut view = session.view_mut();
+            view.begin_batch();
+            for (s, p, o) in (0..5).map(batch) {
+                view.insert(s, p, o);
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            assert_eq!(stats.triggered(), 0, "no fold may run under an open batch");
+            // Kill before end_batch.
+            crash_image(dir.path(), crash.path());
+            view.end_batch();
+        }
+        let recovered = ShardedStore::open_durable(crash.path(), 1).unwrap();
+        assert_eq!(
+            recovered.len(),
+            3,
+            "an uncommitted batch is all-or-nothing: no prefix survives"
+        );
+        for (s, p, o) in (0..3).map(pre) {
+            assert!(recovered.contains(&s, &p, &o));
+        }
+        // Once the batch committed, the owed fold runs and keeps all of it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while stats.compacted() == 0 {
+            assert!(std::time::Instant::now() < deadline, "the fold never ran");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        drop(compactor);
+        assert_eq!(stats.failed(), 0);
+        drop(store);
+        let reopened = ShardedStore::open_durable(dir.path(), 1).unwrap();
+        assert_eq!(reopened.len(), 8, "the whole batch survives the fold");
     }
 
     #[test]

@@ -99,16 +99,6 @@ impl<'a> QueryBuilder<'a> {
         self
     }
 
-    /// `IN` list predicate.
-    pub fn in_list(&mut self, instance: usize, column: &str, vs: Vec<Value>) -> &mut Self {
-        let col = self.colref(instance, column);
-        self.locals.push(LocalPred {
-            col,
-            kind: PredKind::InList(vs),
-        });
-        self
-    }
-
     /// Projection column.
     pub fn select(&mut self, instance: usize, column: &str) -> &mut Self {
         let c = self.colref(instance, column);

@@ -33,18 +33,6 @@ pub struct Workload {
     pub queries: Vec<Query>,
 }
 
-impl Workload {
-    /// Queries bucketed by join count (used by the scalability
-    /// experiments).
-    pub fn by_join_count(&self) -> std::collections::BTreeMap<usize, Vec<&Query>> {
-        let mut map: std::collections::BTreeMap<usize, Vec<&Query>> = Default::default();
-        for q in &self.queries {
-            map.entry(q.join_count()).or_default().push(q);
-        }
-        map
-    }
-}
-
 /// Deterministic round-robin assignment of work items to learner nodes.
 ///
 /// The paper's knowledge base is "built off-peak by parallel learner

@@ -16,7 +16,7 @@
 //!   slowly; the compactor's *idle folding* should absorb it.
 //! * [`ScenarioSpec::churn_heavy`] — an off-peak learning run with
 //!   aggressive re-learning: publish/retract dominate, the WAL grows
-//!   fast, and inline compaction would repeatedly stall the write path.
+//!   fast, and folding on the write path would repeatedly stall it.
 //! * [`ScenarioSpec::mixed_tenant`] — several workloads publishing and
 //!   retracting concurrently with serving, the multi-tenant shape the
 //!   paper's shared knowledge base implies (§4).

@@ -3,13 +3,21 @@
 //! reopen), the signature index is rebuilt from the recovered triples, a
 //! torn write-ahead-log tail loses at most the uncommitted record, and
 //! `FusekiLite::import`/`export` round-trips — named-graph N-Quads lines
-//! included — through a `DurableStore`-backed dataset.
+//! included — through a `DurableStore`-backed dataset. A single store
+//! (one durable directory, or a caller-supplied backend that already
+//! holds triples) is served as one shard with its content and on-disk
+//! layout intact.
 
 use galo_catalog::{col, ColumnStats, ColumnType, Database, DatabaseBuilder, SystemConfig, Table};
-use galo_core::{abstract_plan, match_plan, vocab, KnowledgeBase, MatchConfig, Template};
+use galo_core::{
+    abstract_plan, match_plan, vocab, KbBuilder, KnowledgeBase, MatchConfig, Template,
+};
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
-use galo_rdf::{FusekiLite, ScratchDir, Term};
+use galo_rdf::{
+    from_ntriples, load_ntriples, to_ntriples, DurableStore, FusekiLite, ScratchDir, Term,
+    TripleStore,
+};
 use galo_sql::parse;
 
 /// A two-table database plus an optimized plan over it — the smallest
@@ -77,6 +85,12 @@ fn newest_wal(dir: &std::path::Path) -> std::path::PathBuf {
         .collect();
     wals.sort();
     wals.pop().expect("durable dir holds a wal")
+}
+
+/// An endpoint over one durable store directory, built the way every
+/// caller builds it.
+fn open_single_durable(dir: &std::path::Path) -> FusekiLite {
+    KbBuilder::new().durable_dir(dir).build_server().unwrap()
 }
 
 #[test]
@@ -177,7 +191,7 @@ fn fuseki_import_export_roundtrips_through_durable_dataset() {
     let dir = ScratchDir::new("fuseki-roundtrip");
     let graph = Term::iri("http://galo/kb/graph/workload/tpcds");
     let dump = {
-        let f = FusekiLite::open_durable(dir.path()).unwrap();
+        let f = open_single_durable(dir.path());
         f.insert_triples((0..20u32).map(|i| {
             (
                 Term::iri(format!("http://galo/qep/pop/{i}")),
@@ -199,7 +213,7 @@ fn fuseki_import_export_roundtrips_through_durable_dataset() {
     // inserted quad are journaled, so the import survives a reopen.
     let dir2 = ScratchDir::new("fuseki-roundtrip-2");
     {
-        let f2 = FusekiLite::open_durable(dir2.path()).unwrap();
+        let f2 = open_single_durable(dir2.path());
         f2.insert_triples([(
             Term::iri("http://stale"),
             Term::iri("http://p"),
@@ -207,7 +221,7 @@ fn fuseki_import_export_roundtrips_through_durable_dataset() {
         )]);
         assert_eq!(f2.import(&dump).unwrap(), 20);
     }
-    let f2 = FusekiLite::open_durable(dir2.path()).unwrap();
+    let f2 = open_single_durable(dir2.path());
     assert_eq!(f2.len(), 20);
     assert_eq!(f2.graph_names(), vec![graph.clone()]);
     assert!(
@@ -249,4 +263,95 @@ fn kb_import_reindexes_durable_backend_after_reopen() {
     assert_eq!(kb.template_count(), 1);
     assert_eq!(kb.candidate_templates(sig), vec![iri]);
     assert_eq!(kb.export(), dump);
+}
+
+/// Pins the single-directory on-disk format: a directory written by
+/// `DurableStore` alone (no endpoint, no `sharded.meta`) reopens through
+/// the builder as one shard with an identical export, and stays a plain
+/// store directory that `DurableStore::open` still reads after writes
+/// through the endpoint.
+#[test]
+fn single_directory_store_reopens_through_the_builder_unchanged() {
+    let (db, plan) = setup();
+    let kb_mem = KnowledgeBase::new();
+    let tpl = template(&db, &plan, &kb_mem, 3, "tpcds");
+    kb_mem.insert(&tpl);
+    let iri = vocab::template_iri(&tpl.id).str_value().to_string();
+    let dir = ScratchDir::new("single-dir-format");
+    {
+        // Half in a snapshot, half in the write-ahead log.
+        let mut st = DurableStore::open(dir.path()).unwrap();
+        load_ntriples(&mut st, &kb_mem.export()).unwrap();
+        st.compact().unwrap();
+        st.insert(
+            Term::iri("http://x/s"),
+            Term::iri("http://x/p"),
+            Term::lit("tail"),
+        );
+    }
+    let expected = to_ntriples(&DurableStore::open(dir.path()).unwrap());
+    let meta = dir.path().join("sharded.meta");
+    assert!(!meta.exists());
+
+    let kb = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
+    assert_eq!(kb.export(), expected);
+    assert_eq!(kb.template_count(), 1);
+    let report = match_plan(&db, &kb, &plan, &MatchConfig::default());
+    assert_eq!(report.rewrites.len(), 1);
+    assert_eq!(report.rewrites[0].template_iri, iri);
+    drop(kb);
+
+    let server = KbBuilder::new()
+        .durable_dir(dir.path())
+        .build_server()
+        .unwrap();
+    assert_eq!(server.export(), expected);
+    assert_eq!(server.shard_stats().len(), 1);
+    server.insert_triples([(
+        Term::iri("http://x/s"),
+        Term::iri("http://x/p"),
+        Term::lit("more"),
+    )]);
+    drop(server);
+    assert!(!meta.exists(), "the single-directory layout is kept");
+    let st = DurableStore::open(dir.path()).unwrap();
+    assert!(st.contains(
+        &Term::iri("http://x/s"),
+        &Term::iri("http://x/p"),
+        &Term::lit("more")
+    ));
+    assert_eq!(st.len(), kb_mem.server().len() + 2);
+}
+
+/// A caller-supplied backend that already holds a template runs as one
+/// shard: its content round-trips and the template matches, so the id
+/// translation was rebuilt from the backend's own triples.
+#[test]
+fn populated_backend_serves_through_the_builder() {
+    let (db, plan) = setup();
+    let kb_mem = KnowledgeBase::new();
+    let tpl = template(&db, &plan, &kb_mem, 5, "tpcds");
+    kb_mem.insert(&tpl);
+    let dump = kb_mem.export();
+    let store = from_ntriples(&dump).unwrap();
+    assert!(!store.is_empty());
+
+    let kb = KbBuilder::new()
+        .backend(Box::new(store))
+        .build_kb()
+        .unwrap();
+    let sorted = |text: &str| {
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        lines.sort();
+        lines
+    };
+    assert_eq!(sorted(&kb.export()), sorted(&dump));
+    assert_eq!(kb.template_count(), 1);
+    assert_eq!(kb.workloads(), vec!["tpcds".to_string()]);
+    let report = match_plan(&db, &kb, &plan, &MatchConfig::default());
+    assert_eq!(report.rewrites.len(), 1);
+    assert_eq!(
+        report.rewrites[0].template_iri,
+        vocab::template_iri(&tpl.id).str_value()
+    );
 }
